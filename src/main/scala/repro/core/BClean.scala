@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 
 /** End-to-end BClean pipeline (Figure 2): BN construction → compensatory
@@ -50,27 +49,23 @@ object BClean {
       userEdits: Seq[(Int, Int)] = Nil,
   ): Inference.Model = {
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
+    // One counting pass feeds the CPTs, priors, user edits and domains.
+    val co = CoOccurrence.compute(dirty, attrs)
     val dag0 = presetDag.getOrElse(StructureLearner.learn(dirty, attrs, cfg.structure))
-    val bn0 = BayesNet.learn(dirty, attrs, dag0, cfg.cptAlpha)
+    val bn0 = BayesNet.learn(co, attrs, dag0, cfg.cptAlpha)
     // Section 7.3.2: the user inspects the learned network and adjusts it
     // with lightweight domain knowledge (FD-shaped edges).
-    val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(dirty, bn0, userEdits)
+    val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(co, bn0, userEdits)
     val dag = bn.dag
-    val withConf =
-      CompensatoryScore.withConfidence(dirty, attrs, effUcs, cfg.score.lambda).cache()
-    val corr = CompensatoryScore.collect(
-      CompensatoryScore.corrTable(withConf, attrs, cfg.score.tau, cfg.score.beta))
-    // Mean per-tuple weight (1 for conf ≥ τ, −β below) — the centering scale.
-    val avgW = {
-      import org.apache.spark.sql.functions.{avg, when, col => c}
-      withConf.agg(avg(when(c("conf") >= cfg.score.tau, 1.0).otherwise(-cfg.score.beta)))
-        .collect()(0).getDouble(0)
-    }
-    val co = CoOccurrence.compute(dirty, attrs)
-    val domains: Map[Int, IndexedSeq[String]] = attrs.indices.map { i =>
-      i -> dirty.select(col(attrs(i))).na.fill("").distinct().collect()
-        .map(r => Values.norm(r.getString(0))).toIndexedSeq
-    }.toMap
+    // avgW: mean per-tuple weight (1 for conf ≥ τ, −β below) — the centering
+    // scale. It comes out of the corr aggregation, so the confidence column
+    // is computed once without caching it.
+    val (corr, avgW) = CompensatoryScore.corrAndMeanWeight(
+      CompensatoryScore.withConfidence(dirty, attrs, effUcs, cfg.score.lambda),
+      attrs, cfg.score.tau, cfg.score.beta)
+    // Sorted, so nothing downstream depends on the order Spark returns rows in.
+    val domains: Map[Int, IndexedSeq[String]] =
+      attrs.indices.map(i => i -> co.unary(i).keys.toIndexedSeq.sorted).toMap
     val pruned =
       if (cfg.inference.domainPruning) DomainPruning.prune(domains, co, dag, cfg.inference.topK)
       else domains

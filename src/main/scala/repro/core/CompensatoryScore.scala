@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Compensatory scoring model (Section 5, Algorithm 2).
@@ -40,8 +40,45 @@ object CompensatoryScore {
     * pair (c, e), w = Σ_T (1[conf ≥ τ] − β·1[conf < τ]).  Normalization by
     * |D| happens at lookup time.
     */
-  def corrTable(dfWithConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame = {
-    val w = weightExpr(col("conf"), tau, beta)
+  def corrTable(dfWithConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame =
+    weightedPairs(dfWithConf, attrs, tau, beta, withMarker = false)
+      .groupBy("ai", "aj", "c", "e")
+      .agg(sum("w") as "w")
+
+  /** The collected corr table and the mean per-tuple cliff weight
+    * (1 for conf ≥ τ, −β below) in one aggregation: each row adds one
+    * marker entry (−1, −1, "", "") weighted by its cliff weight next to its
+    * pair entries. The mean is 1.0 on an empty relation.
+    */
+  def corrAndMeanWeight(
+      dfWithConf: DataFrame,
+      attrs: Seq[String],
+      tau: Double,
+      beta: Double,
+  ): (Map[(Int, Int), Map[(String, String), Double]], Double) = {
+    val (markers, rows) = weightedPairs(dfWithConf, attrs, tau, beta, withMarker = true)
+      .groupBy("ai", "aj", "c", "e")
+      .agg(sum("w") as "w", count(lit(1)) as "n")
+      .collect()
+      .partition(_.getInt(0) < 0)
+    val meanW = markers.headOption.fold(1.0)(r => r.getDouble(4) / r.getLong(5))
+    (toCorrMap(rows), meanW)
+  }
+
+  /** Exploded (ai, aj, c, e, w) entries of the corr table, plus the marker
+    * entry per row when asked. Pair entries with an empty side are dropped:
+    * NULL is not an observation, and at a 30% missing rate such pairs would
+    * dominate the table with noise. The weights stay outside the exploded
+    * structs, so wide relations keep one weight expression per row (and a
+    * generated method small enough to compile).
+    */
+  private def weightedPairs(
+      dfWithConf: DataFrame,
+      attrs: Seq[String],
+      tau: Double,
+      beta: Double,
+      withMarker: Boolean,
+  ): DataFrame = {
     val pairs = for {
       i <- attrs.indices
       j <- attrs.indices if i != j
@@ -51,22 +88,24 @@ object CompensatoryScore {
       coalesce(col(attrs(i)), lit("")) as "c",
       coalesce(col(attrs(j)), lit("")) as "e",
     )
+    val marker = struct(lit(-1) as "ai", lit(-1) as "aj", lit("") as "c", lit("") as "e")
     dfWithConf
-      .select(explode(array(pairs: _*)) as "p", w as "w")
-      .select(col("p.ai"), col("p.aj"), col("p.c"), col("p.e"), col("w"))
-      // NULL is not an observation: pairs with an empty side carry no
-      // co-occurrence signal (and at a 30% missing rate they would dominate
-      // the table with noise).
-      .where(col("c") =!= "" && col("e") =!= "")
-      .groupBy("ai", "aj", "c", "e")
-      .agg(sum("w") as "w")
+      .select(explode(array((if (withMarker) pairs :+ marker else pairs): _*)) as "p",
+        weightExpr(col("conf"), tau, beta) as "w",
+        when(col("conf") >= tau, 1.0).otherwise(-beta) as "cliff")
+      .select(col("p.ai"), col("p.aj"), col("p.c"), col("p.e"),
+        when(col("p.ai") < 0, col("cliff")).otherwise(col("w")) as "w")
+      .where((col("c") =!= "" && col("e") =!= "") || col("ai") < 0)
   }
 
   /** Collect the corr table into a broadcast-friendly nested map:
     * (ai, aj) → ((c, e) → w). Zero-weight entries are dropped.
     */
   def collect(corrDf: DataFrame): Map[(Int, Int), Map[(String, String), Double]] =
-    corrDf.collect()
+    toCorrMap(corrDf.collect())
+
+  private def toCorrMap(rows: Array[Row]): Map[(Int, Int), Map[(String, String), Double]] =
+    rows
       .groupBy(r => (r.getInt(0), r.getInt(1)))
       .map { case (k, rows) =>
         k -> rows.iterator

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 
 /** Per-edge conditional probability table (Section 2: "CPTs θ that weight the
@@ -9,7 +8,9 @@ import repro.graph.Dag
   * (dirty) relation with Laplace smoothing — errors are modeled as part of
   * the distribution. Pairwise tables stay dense under dirty co-parents,
   * unlike joint multi-parent tables whose combos go unseen the moment any
-  * one parent cell is corrupted.
+  * one parent cell is corrupted. Tables derive from the pair and unary
+  * counts of one `CoOccurrence` pass (`fromCounts`); the DataFrame entry
+  * points count first and delegate.
   *
   * @param parent  attribute index of the edge's source
   * @param child   attribute index of the edge's target
@@ -40,33 +41,45 @@ final case class Cpt(
 
 object Cpt {
 
-  /** Learn the per-edge CPT parent → child by a distributed groupBy. */
-  def learn(df: DataFrame, attrs: Seq[String], parent: Int, child: Int, alpha: Double = 0.05): Cpt = {
-    val pCol = attrs(parent); val cCol = attrs(child)
-    val domSize = df.select(col(cCol)).na.fill("").distinct().count().toInt
-    val grouped = df.na.fill("", Seq(pCol, cCol)).groupBy(col(pCol), col(cCol)).count().collect()
-    val table = grouped
-      .groupBy(r => Values.norm(r.getString(0)))
-      .map { case (pv, rows) =>
-        val counts = rows.map(r => Values.norm(r.getString(1)) -> r.getLong(2)).toMap
+  /** The edge CPT parent → child from the pair counts of one counting pass:
+    * the (parent, child) counts grouped by parent value, smoothed over the
+    * child's observed domain (NULL counts as a value).
+    */
+  def fromCounts(co: CoOccurrence, parent: Int, child: Int, alpha: Double): Cpt = {
+    val table = co.pairs.getOrElse((parent, child), Map.empty)
+      .groupBy(_._1._1)
+      .map { case (pv, entries) =>
+        val counts = entries.map { case ((_, cv), n) => cv -> n }
         pv -> (counts, counts.values.sum)
       }
-    Cpt(parent, child, table, domSize, alpha)
+    Cpt(parent, child, table, co.unary(child).size, alpha)
   }
 
-  /** Learn all edge CPTs of a DAG, keyed by child. */
-  def learnAll(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): Map[Int, Seq[Cpt]] =
-    attrs.indices
-      .map(v => v -> dag.parents(v).map(p => learn(df, attrs, p, v, alpha)))
+  /** Learn the per-edge CPT parent → child from a relation. */
+  def learn(df: DataFrame, attrs: Seq[String], parent: Int, child: Int, alpha: Double = 0.05): Cpt =
+    fromCounts(CoOccurrence.compute(df, Seq(attrs(parent), attrs(child))), 0, 1, alpha)
+      .copy(parent = parent, child = child)
+
+  /** All edge CPTs of a DAG, keyed by child. */
+  def learnAll(co: CoOccurrence, dag: Dag, alpha: Double): Map[Int, Seq[Cpt]] =
+    (0 until dag.n)
+      .map(v => v -> dag.parents(v).map(p => fromCounts(co, p, v, alpha)))
       .filter(_._2.nonEmpty)
       .toMap
 
-  /** Prior (marginal) distribution of one attribute, Laplace-smoothed. */
-  def prior(df: DataFrame, attr: String, alpha: Double = 1.0): Map[String, Double] = {
-    val counts = df.na.fill("", Seq(attr)).groupBy(col(attr)).count().collect()
-      .map(r => Values.norm(r.getString(0)) -> r.getLong(1)).toMap
+  def learnAll(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): Map[Int, Seq[Cpt]] =
+    learnAll(CoOccurrence.compute(df, attrs), dag, alpha)
+
+  /** Prior (marginal) distribution of one attribute from its unary counts,
+    * Laplace-smoothed.
+    */
+  def prior(co: CoOccurrence, attr: Int, alpha: Double): Map[String, Double] = {
+    val counts = co.unary(attr)
     val total = counts.values.sum.toDouble
     val dom = counts.size
     counts.map { case (v, c) => v -> (c + alpha) / (total + alpha * dom) }
   }
+
+  def prior(df: DataFrame, attr: String, alpha: Double = 1.0): Map[String, Double] =
+    prior(CoOccurrence.compute(df, Seq(attr)), 0, alpha)
 }

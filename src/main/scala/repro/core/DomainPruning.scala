@@ -10,7 +10,8 @@ import repro.graph.Dag
   * where context(v) is the number of sub-networks whose observed values
   * contain v and count(v, D) is v's global occurrence count. Only the top-K
   * candidates per attribute survive. Attributes outside every sub-network
-  * (isolated nodes) fall back to frequency-ranked top-K.
+  * (isolated nodes) fall back to frequency-ranked top-K. Ties in score go to
+  * the more frequent value, then to the smaller string.
   */
 object DomainPruning {
 
@@ -47,7 +48,9 @@ object DomainPruning {
           val score = tf(v) * math.max(0.1, math.log(nD / (1.0 + globalCount(v))))
           (v, score, co.count(attr, v))
         }
-        .sortBy { case (_, score, freq) => (-score, -freq) }
+        // The value itself breaks the remaining ties, so the kept set does
+        // not depend on the order of `dom`.
+        .sortBy { case (v, score, freq) => (-score, -freq, v) }
         .take(topK)
         .map(_._1)
       attr -> ranked

@@ -60,6 +60,7 @@ object Inference {
     val cfg = model.cfg
     val m = model.attrs.length
     val out = t.clone()
+    val selfW = model.selfWeight(t)
     var j = 0
     while (j < m) {
       val skip = cfg.tuplePruning && !Values.isNull(t(j)) &&
@@ -75,7 +76,6 @@ object Inference {
         val incumbentNull = Values.isNull(t(j))
         val incumbentOk = incumbentNull || uc.holds(t(j))
         val margin = if (incumbentOk && !incumbentNull) cfg.repairMargin else 0.0
-        val selfW = model.selfWeight(t)
         var bestC = t(j)
         var bestP = score(model, j, bestC, t, selfW) + margin
         var secondP = Double.NegativeInfinity
@@ -84,8 +84,11 @@ object Inference {
           val c = base(k)
           if (c != t(j) && !Values.isNull(c) && uc.holds(c)) {
             val p = score(model, j, c, t, selfW)
-            if (p > bestP) { secondP = bestP; bestP = p; bestC = c }
-            else if (p > secondP) { secondP = p }
+            // Ties never depend on domain order: the incumbent keeps every
+            // tie, and among other candidates the smaller string wins.
+            if (p > bestP || (p == bestP && bestC != t(j) && c < bestC)) {
+              secondP = bestP; bestP = p; bestC = c
+            } else if (p > secondP) { secondP = p }
           }
           k += 1
         }

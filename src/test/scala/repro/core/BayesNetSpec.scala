@@ -75,4 +75,36 @@ class BayesNetSpec extends SparkSpec {
   test("edit: cycle-creating addition is rejected") {
     intercept[IllegalArgumentException](BayesNet.edit(df, bn, add = Seq((2, 0))))
   }
+
+  private lazy val co = CoOccurrence.compute(df, attrs)
+
+  test("learn on counts equals learn on the relation") {
+    assert(BayesNet.learn(co, attrs, dag, alpha = 0.05) == bn)
+  }
+
+  test("applyUserEdits on counts matches the DataFrame version: add") {
+    val viaCounts = BayesNet.applyUserEdits(co, bn, Seq((0, 2)))
+    assert(viaCounts.dag.parents(2) == Seq(0, 1))
+    assert(viaCounts == BayesNet.applyUserEdits(df, bn, Seq((0, 2))))
+  }
+
+  test("applyUserEdits on counts matches the DataFrame version: reverse edge") {
+    val viaCounts = BayesNet.applyUserEdits(co, bn, Seq((2, 1)))
+    assert(viaCounts.dag.hasEdge(2, 1) && !viaCounts.dag.hasEdge(1, 2))
+    assert(viaCounts.cpts(1).map(_.parent).sorted == Seq(0, 2))
+    assert(!viaCounts.cpts.contains(2))
+    assert(viaCounts == BayesNet.applyUserEdits(df, bn, Seq((2, 1))))
+  }
+
+  test("applyUserEdits on counts matches the DataFrame version: cycle skip") {
+    // 2 → 0 would close code → city → state → code.
+    val viaCounts = BayesNet.applyUserEdits(co, bn, Seq((2, 0)))
+    assert(viaCounts.dag == bn.dag)
+    assert(viaCounts == BayesNet.applyUserEdits(df, bn, Seq((2, 0))))
+  }
+
+  test("edit on counts matches the DataFrame version") {
+    assert(BayesNet.edit(co, bn, add = Seq((0, 2)), remove = Seq((1, 2))) ==
+      BayesNet.edit(df, bn, add = Seq((0, 2)), remove = Seq((1, 2))))
+  }
 }

@@ -64,4 +64,32 @@ class CoOccurrenceSpec extends SparkSpec {
     val cleanRow = rows.find(_._1 == 50L).get._2
     assert(codirty.filterScore(typoRow, 1) < codirty.filterScore(cleanRow, 1))
   }
+
+  test("NULL cells are counted as the empty string") {
+    val nulls = Fixtures.fdTableNulls(spark, 120)
+    val con = CoOccurrence.compute(nulls, attrs)
+    val nullCities = nulls.where("city IS NULL").count()
+    assert(nullCities > 0)
+    assert(con.count(1, "") == nullCities)
+    assert(con.pairs((0, 1)).collect { case ((_, ""), n) => n }.sum == nullCities)
+    attrs.indices.foreach(i => assert(con.unary(i).values.sum == 120L))
+  }
+
+  test("a one-attribute relation has unary counts and no pairs") {
+    val one = df.select("city")
+    val co1 = CoOccurrence.compute(one, Seq("city"))
+    assert(co1.nRows == 100L)
+    assert(co1.unary(0) == co.unary(1))
+    assert(co1.pairs.isEmpty)
+  }
+
+  test("an empty relation has zero rows and empty counts for every attribute") {
+    val empty = df.where("false")
+    val co0 = CoOccurrence.compute(empty, attrs)
+    assert(co0.nRows == 0L)
+    assert(co0.unary.keySet == attrs.indices.toSet)
+    assert(co0.unary.values.forall(_.isEmpty))
+    assert(co0.pairs.size == attrs.length * (attrs.length - 1))
+    assert(co0.pairs.values.forall(_.isEmpty))
+  }
 }

@@ -71,4 +71,52 @@ class CptSpec extends SparkSpec {
     assert(all(1).map(_.parent) == Seq(0))
     assert(all.values.flatten.forall(c => c.table.nonEmpty))
   }
+
+  // Count-derived statistics on a relation with NULLs, against DuckDB.
+  private lazy val nulls = Fixtures.fdTableNulls(spark, 120)
+  private lazy val nullCo = CoOccurrence.compute(nulls, attrs)
+
+  test("count-derived CPT tables match DuckDB GROUP BY counts (NULL as \"\")") {
+    import spark.implicits._
+    val cpt = Cpt.fromCounts(nullCo, parent = 1, child = 2, alpha = 0.05)
+    val entries = cpt.table.toSeq.flatMap { case (pv, (counts, _)) =>
+      counts.toSeq.map { case (cv, n) => (pv, cv, n) }
+    }
+    Oracle.assertEquivalent(entries.toDF("city", "state", "cnt"),
+      "SELECT coalesce(city, '') AS city, coalesce(state, '') AS state, count(*) AS cnt " +
+        "FROM t GROUP BY 1, 2", "t" -> nulls)
+    val totals = cpt.table.toSeq.map { case (pv, (_, total)) => (pv, total) }
+    Oracle.assertEquivalent(totals.toDF("city", "total"),
+      "SELECT coalesce(city, '') AS city, count(*) AS total FROM t GROUP BY 1", "t" -> nulls)
+  }
+
+  test("count-derived domSize matches DuckDB COUNT(DISTINCT)") {
+    import spark.implicits._
+    attrs.indices.foreach { child =>
+      val parent = (child + 1) % attrs.length
+      val cpt = Cpt.fromCounts(nullCo, parent, child, alpha = 0.05)
+      Oracle.assertEquivalent(Seq(cpt.domSize.toLong).toDF("dom"),
+        s"SELECT count(DISTINCT coalesce(${attrs(child)}, '')) AS dom FROM t", "t" -> nulls)
+    }
+  }
+
+  test("count-derived priors match DuckDB-computed smoothed frequencies") {
+    import spark.implicits._
+    attrs.indices.foreach { i =>
+      val a = attrs(i)
+      val p = Cpt.prior(nullCo, i, alpha = 0.5)
+      Oracle.assertEquivalent(p.toSeq.toDF("v", "p"),
+        s"SELECT coalesce($a, '') AS v, (count(*) + 0.5) / " +
+          s"((SELECT count(*) FROM t) + 0.5 * (SELECT count(DISTINCT coalesce($a, '')) FROM t)) AS p " +
+          s"FROM t GROUP BY 1", "t" -> nulls)
+    }
+  }
+
+  test("DataFrame entry points equal the count-derived statistics") {
+    val co = CoOccurrence.compute(df, attrs)
+    assert(Cpt.learn(df, attrs, 0, 2, alpha = 0.05) == Cpt.fromCounts(co, 0, 2, alpha = 0.05))
+    assert(Cpt.prior(df, "state", alpha = 0.05) == Cpt.prior(co, 2, alpha = 0.05))
+    val dag = Dag(3, Map((0, 1) -> 1.0, (1, 2) -> 1.0))
+    assert(Cpt.learnAll(df, attrs, dag) == Cpt.learnAll(co, dag, alpha = 0.05))
+  }
 }

@@ -45,4 +45,18 @@ class DomainPruningSpec extends SparkSpec {
     val topCities = co.unary(1).toSeq.sortBy(-_._2).take(2).map(_._1).toSet
     assert(pruned(1).toSet == topCities)
   }
+
+  test("top-K does not depend on the order of the input domain") {
+    val ties = Fixtures.ties(spark)
+    val tieCo = CoOccurrence.compute(ties, Fixtures.tieAttrs)
+    val tieDag = Dag(2, Map((0, 1) -> 1.0))
+    val dom = Fixtures.tieAttrs.indices.map(i => i -> tieCo.unary(i).keys.toIndexedSeq.sorted).toMap
+    val reversed = dom.map { case (a, d) => a -> d.reverse }
+    (1 to dom(1).size).foreach { k =>
+      assert(DomainPruning.prune(dom, tieCo, tieDag, k) == DomainPruning.prune(reversed, tieCo, tieDag, k),
+        s"topK=$k")
+    }
+    // "aa" and "bb" tie on score and frequency; the smaller string is kept.
+    assert(DomainPruning.prune(reversed, tieCo, tieDag, topK = 1)(1) == IndexedSeq("aa"))
+  }
 }

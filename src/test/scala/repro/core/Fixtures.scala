@@ -53,4 +53,35 @@ object Fixtures {
     }
     dirty.toSeq.toDF(("_tid" +: fdAttrs): _*)
   }
+
+  /** fdTableDirty with Spark NULLs (not empty strings) in a few cells of
+    * every attribute, for checking that counts treat NULL as "".
+    */
+  def fdTableNulls(spark: SparkSession, n: Int = 120): DataFrame = {
+    import spark.implicits._
+    val rows = fdTableDirty(spark, n).collect().map { r =>
+      val tid = r.getLong(0)
+      def cell(i: Int): Option[String] =
+        if (tid % 17 == i * 3 || r.getString(i + 1).isEmpty) None else Some(r.getString(i + 1))
+      (tid, cell(0), cell(1), cell(2))
+    }
+    rows.toSeq.toDF(("_tid" +: fdAttrs): _*)
+  }
+
+  /** Key → value relation with exactly tied repair candidates: under key
+    * "k1", "aa" and "bb" occur equally often, so a row holding "ab" (one
+    * edit from both, and outside the `(aa|bb)` pattern UC) scores the two
+    * candidates identically, and a NULL under "k1" has two tied fills.
+    * Key "k2" adds a second, untied group.
+    */
+  val tieAttrs: Seq[String] = Seq("key", "val")
+
+  def ties(spark: SparkSession): DataFrame = {
+    import spark.implicits._
+    val k1 = (0 until 20).map(i => ("k1", if (i % 2 == 0) "aa" else "bb"))
+    val k2 = Seq.fill(6)(("k2", "cc"))
+    val dirty = Seq(("k1", "ab"), ("k1", "ba"), ("k2", "ca"), ("k1", ""))
+    (k1 ++ k2 ++ dirty).zipWithIndex.map { case ((k, v), i) => (i.toLong, k, v) }
+      .toDF(("_tid" +: tieAttrs): _*)
+  }
 }

@@ -100,4 +100,49 @@ class InferenceSpec extends SparkSpec {
     assert(prf.recall >= 0.75, prf.pretty)
     assert(prf.precision >= 0.75, prf.pretty)
   }
+
+  // Tied candidates: "ab" and "ba" are one edit from both "aa" and "bb",
+  // which score identically under key k1.
+  private val tieUcs = UcSet(Map("val" -> UC.Pattern("aa|bb|cc")))
+  private lazy val tieDf = Fixtures.ties(spark)
+
+  private def tieModel(cfg: Inference.Config): Inference.Model =
+    BClean.buildModel(tieDf, Fixtures.tieAttrs, tieUcs, BClean.Config(inference = cfg),
+      presetDag = Some(repro.graph.Dag(2, Map((0, 1) -> 1.0))))
+
+  private def cleanedRows(model: Inference.Model): Seq[Seq[String]] =
+    Inference.clean(tieDf, model).collect().sortBy(_.getLong(0))
+      .map(r => Seq(r.getString(1), r.getString(2))).toSeq
+
+  test("a tie among non-incumbent candidates goes to the smaller string") {
+    val t = Array("k1", "ab")
+    val model = tieModel(Inference.Config())
+    val scoreAa = Inference.score(model, 1, "aa", t, model.selfWeight(t))
+    val scoreBb = Inference.score(model, 1, "bb", t, model.selfWeight(t))
+    assert(scoreAa == scoreBb)
+    assert(Inference.repairTuple(model, t).toSeq == Seq("k1", "aa"))
+    assert(Inference.repairTuple(model, Array("k1", "ba")).toSeq == Seq("k1", "aa"))
+  }
+
+  test("a NULL whose best candidates tie stays NULL") {
+    val model = tieModel(Inference.Config())
+    assert(Inference.repairTuple(model, Array("k1", "")).toSeq == Seq("k1", ""))
+  }
+
+  test("reversing or shuffling every domain leaves clean() unchanged") {
+    Seq(Inference.Config(), Inference.Config(partitioned = false),
+      Inference.Config(tuplePruning = true, domainPruning = true, topK = 3)).foreach { cfg =>
+      val model = tieModel(cfg)
+      val expected = cleanedRows(model)
+      assert(expected(26) == Seq("k1", "aa") && expected(27) == Seq("k1", "aa"))
+      def reorder(f: IndexedSeq[String] => IndexedSeq[String]): Inference.Model =
+        model.copy(domains = model.domains.map { case (a, d) => a -> f(d) },
+          prunedDomains = model.prunedDomains.map { case (a, d) => a -> f(d) })
+      assert(cleanedRows(reorder(_.reverse)) == expected, s"reversed, $cfg")
+      (1 to 3).foreach { seed =>
+        val rng = new scala.util.Random(seed)
+        assert(cleanedRows(reorder(rng.shuffle(_))) == expected, s"shuffle $seed, $cfg")
+      }
+    }
+  }
 }
