@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.StringType
 import repro.graph.Dag
 
 /** End-to-end BClean pipeline (Figure 2): BN construction → compensatory
@@ -38,7 +39,9 @@ object BClean {
 
   /** Build the full inference model (network, scores, domains) from a dirty
     * relation. Exposed separately so tests and the user-interaction API can
-    * inspect or edit the network before cleaning.
+    * inspect or edit the network before cleaning. Every attribute must be a
+    * string column of `dirty`; otherwise this throws an
+    * `IllegalArgumentException` naming the column, before any Spark job.
     */
   def buildModel(
       dirty: DataFrame,
@@ -48,6 +51,7 @@ object BClean {
       presetDag: Option[Dag] = None,
       userEdits: Seq[(Int, Int)] = Nil,
   ): Inference.Model = {
+    requireStringColumns(dirty, attrs)
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
     // One counting pass feeds the CPTs, priors, user edits and domains.
     val co = CoOccurrence.compute(dirty, attrs)
@@ -57,9 +61,9 @@ object BClean {
     // with lightweight domain knowledge (FD-shaped edges).
     val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(co, bn0, userEdits)
     val dag = bn.dag
-    // avgW: mean per-tuple weight (1 for conf ≥ τ, −β below) — the centering
-    // scale. It comes out of the corr aggregation, so the confidence column
-    // is computed once without caching it.
+    // avgW: mean per-tuple weight (1 for conf ≥ τ, −β below). It comes out
+    // of the corr aggregation, so the confidence column is computed once
+    // without caching it.
     val (corr, avgW) = CompensatoryScore.corrAndMeanWeight(
       CompensatoryScore.withConfidence(dirty, attrs, effUcs, cfg.score.lambda),
       attrs, cfg.score.tau, cfg.score.beta)
@@ -72,8 +76,18 @@ object BClean {
     Inference.Model(attrs, bn, corr, co, domains, pruned, effUcs, cfg.inference, cfg.score, avgW)
   }
 
+  private def requireStringColumns(dirty: DataFrame, attrs: Seq[String]): Unit =
+    attrs.foreach { a =>
+      val field = dirty.schema.find(_.name == a)
+      require(field.nonEmpty,
+        s"attribute column '$a' is missing (columns: ${dirty.columns.mkString(", ")})")
+      require(field.get.dataType == StringType,
+        s"attribute column '$a' is ${field.get.dataType.simpleString}, not string; cast it first")
+    }
+
   /** Clean a dirty relation: returns a DataFrame with the same schema where
-    * every cell holds the MAP value (Algorithm 1).
+    * every cell holds the MAP value (Algorithm 1). Cells that are not
+    * repaired come back exactly as given, SQL NULL included.
     */
   def clean(
       dirty: DataFrame,

@@ -114,29 +114,52 @@ object CompensatoryScore {
           .toMap
       }
 
-  /** Score_corr(c, t, A_j) from the collected corr map (Eq. 2), normalized by
-    * the relation size.
+  /** The corr table re-keyed for per-cell lookups:
+    * `index(j)(k)(e)(c) = corr((j, k))((c, e))`. For a cell (i, j) every
+    * context value t[A_k] is fixed across candidates, so `context` fetches
+    * the m−1 maps once and each candidate costs one string lookup per
+    * context attribute.
     */
+  type CorrIndex = Array[Array[Map[String, Map[String, Double]]]]
+
+  def index(corr: Map[(Int, Int), Map[(String, String), Double]], m: Int): CorrIndex =
+    Array.tabulate(m, m) { (j, k) =>
+      corr.getOrElse((j, k), Map.empty[(String, String), Double]).toSeq
+        .groupBy(_._1._2)
+        .map { case (e, entries) => e -> entries.iterator.map { case ((c, _), w) => c -> w }.toMap }
+    }
+
+  /** The context maps of cell (·, j) of tuple `t`: one per non-null A_k ≠ A_j
+    * with corr entries for t[A_k], in ascending k.
+    */
+  def context(index: CorrIndex, j: Int, t: Array[String]): Array[Map[String, Double]] = {
+    val out = Array.newBuilder[Map[String, Double]]
+    var k = 0
+    while (k < t.length) {
+      if (k != j && !Values.isNull(t(k))) index(j)(k).get(t(k)).foreach(out += _)
+      k += 1
+    }
+    out.result()
+  }
+
+  /** Score_corr(c, t, A_j) (Eq. 2) over the context maps of the cell,
+    * normalized by the relation size. Terms are added in ascending k.
+    */
+  def scoreCorr(ctx: Array[Map[String, Double]], nRows: Long, c: String): Double = {
+    var s = 0.0
+    var k = 0
+    while (k < ctx.length) { s += ctx(k).getOrElse(c, 0.0); k += 1 }
+    s / math.max(nRows, 1L)
+  }
+
+  /** Score_corr(c, t, A_j) straight from the collected corr map. */
   def scoreCorr(
       corr: Map[(Int, Int), Map[(String, String), Double]],
       nRows: Long,
       j: Int,
       c: String,
       t: Array[String],
-  ): Double = {
-    var s = 0.0
-    var k = 0
-    while (k < t.length) {
-      if (k != j && !Values.isNull(t(k))) {
-        corr.get((j, k)) match {
-          case Some(mp) => s += mp.getOrElse((c, t(k)), 0.0)
-          case None     =>
-        }
-      }
-      k += 1
-    }
-    s / math.max(nRows, 1L)
-  }
+  ): Double = scoreCorr(context(index(corr, t.length), j, t), nRows, c)
 
   /** Per-tuple corr weight. The paper's Algorithm 2 uses the cliff
     * 1[conf ≥ τ] / −β·1[conf < τ]; we grade the penalty by how far below τ
@@ -151,37 +174,6 @@ object CompensatoryScore {
 
   private[core] def weightExpr(conf: Column, tau: Double, beta: Double): Column =
     when(conf >= tau, 1.0).otherwise(lit(-beta) * (lit(tau) - conf) / math.max(tau, 1e-9))
-
-  /** Centered Score_corr: each pair's weight is reduced by its expectation
-    * under attribute independence, avgW · count(c)·count(e) / n — i.e., the
-    * *lift* of the pair. Raw co-occurrence hands every candidate free mass
-    * from near-constant context attributes (country, ounces, …); the lift
-    * cancels it exactly while preserving genuine FD-style dependence.
-    * avgW is the mean per-tuple confidence weight (1 or −β), so the
-    * expectation lives on the same scale as the weighted counts.
-    */
-  def scoreCorrCentered(
-      corr: Map[(Int, Int), Map[(String, String), Double]],
-      co: CoOccurrence,
-      avgW: Double,
-      j: Int,
-      c: String,
-      t: Array[String],
-  ): Double = {
-    val n = math.max(co.nRows, 1L).toDouble
-    val cntC = co.count(j, c).toDouble
-    var s = 0.0
-    var k = 0
-    while (k < t.length) {
-      if (k != j) {
-        val observed = corr.get((j, k)).flatMap(_.get((c, t(k)))).getOrElse(0.0)
-        val expected = avgW * cntC * co.count(k, t(k)).toDouble / n
-        s += observed - expected
-      }
-      k += 1
-    }
-    s / n
-  }
 
   /** The paper combines scores as log(BN) + log(CS). Score_corr may be ≤ 0
     * (β-penalties), where a raw log is undefined; since only the relative

@@ -38,8 +38,14 @@ object Inference {
       ucs: UcSet,
       cfg: Config,
       scoreParams: CompensatoryScore.Params = CompensatoryScore.Params(),
-      avgW: Double = 1.0, // mean per-tuple confidence weight (for centering)
+      avgW: Double = 1.0, // mean per-tuple confidence weight
   ) extends Serializable {
+
+    /** `corr` indexed for per-cell lookups. Built where it is first used (on
+      * each executor, after the broadcast), so it is never serialized.
+      */
+    @transient lazy val corrIndex: CompensatoryScore.CorrIndex =
+      CompensatoryScore.index(corr, attrs.length)
 
     /** The tuple's own contribution to every corr entry it touches: +1 when
       * its confidence (Eq. 3) passes τ, −β otherwise. Needed for the
@@ -76,14 +82,16 @@ object Inference {
         val incumbentNull = Values.isNull(t(j))
         val incumbentOk = incumbentNull || uc.holds(t(j))
         val margin = if (incumbentOk && !incumbentNull) cfg.repairMargin else 0.0
+        // Every t[A_k] is fixed across candidates: fetch the corr context once.
+        val ctx = CompensatoryScore.context(model.corrIndex, j, t)
         var bestC = t(j)
-        var bestP = score(model, j, bestC, t, selfW) + margin
+        var bestP = score(model, j, ctx, bestC, t, selfW) + margin
         var secondP = Double.NegativeInfinity
         var k = 0
         while (k < base.length) {
           val c = base(k)
           if (c != t(j) && !Values.isNull(c) && uc.holds(c)) {
-            val p = score(model, j, c, t, selfW)
+            val p = score(model, j, ctx, c, t, selfW)
             // Ties never depend on domain order: the incumbent keeps every
             // tie, and among other candidates the smaller string wins.
             if (p > bestP || (p == bestP && bestC != t(j) && c < bestC)) {
@@ -110,12 +118,23 @@ object Inference {
     * to the observed cell in the softened-FD similarity are preferred, which
     * is what recovers typos on attributes with no relational context.
     */
-  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double = {
+  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double =
+    score(model, j, CompensatoryScore.context(model.corrIndex, j, t), c, t, selfW)
+
+  /** `score` with the cell's corr context already fetched. */
+  private def score(
+      model: Model,
+      j: Int,
+      ctx: Array[Map[String, Double]],
+      c: String,
+      t: Array[String],
+      selfW: Double,
+  ): Double = {
     val bnLog =
       if (model.cfg.partitioned) model.bn.blanketLog(j, c, t)
       else model.bn.fullJointLog(j, c, t)
     val n = model.co.nRows
-    var cs = CompensatoryScore.scoreCorr(model.corr, n, j, c, t)
+    var cs = CompensatoryScore.scoreCorr(ctx, n, c)
     // Leave-one-out: the incumbent's corr entries include this very tuple's
     // pairs (one per non-null context attribute, weighted ±). Remove them so
     // a value seen nowhere else gets no support from its own dirty row, and
@@ -136,14 +155,18 @@ object Inference {
   }
 
   /** Distributed cleaning pass: mapPartitions with the model broadcast. The
-    * output schema equals the input schema (tid column preserved).
+    * input is first spread round-robin over `defaultParallelism` partitions,
+    * so inference uses every core whatever the input's layout (a `_tid`-range
+    * cut or a single-file read is one non-empty partition). The output
+    * schema equals the input schema, and a cell the repair leaves alone
+    * keeps its original value, SQL NULL included.
     */
-  def clean(df: DataFrame, model: Model, tidCol: String = "_tid"): DataFrame = {
+  def clean(df: DataFrame, model: Model): DataFrame = {
     val spark = df.sparkSession
     val schema = df.schema
     val attrIdx = model.attrs.map(schema.fieldIndex).toArray
     val bc = spark.sparkContext.broadcast(model)
-    df.mapPartitions { rows =>
+    df.repartition(spark.sparkContext.defaultParallelism).mapPartitions { rows =>
       val mdl = bc.value
       rows.map { row =>
         val t = Values.ofRow(row, attrIdx)
@@ -152,7 +175,10 @@ object Inference {
         var i = 0
         while (i < schema.length) { vals(i) = row.get(i); i += 1 }
         var k = 0
-        while (k < attrIdx.length) { vals(attrIdx(k)) = repaired(k); k += 1 }
+        while (k < attrIdx.length) {
+          if (repaired(k) != t(k)) vals(attrIdx(k)) = repaired(k)
+          k += 1
+        }
         Row.fromSeq(vals.toIndexedSeq)
       }
     }(Encoders.row(schema))

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.{UserConstraint => UC}
+import repro.graph.Dag
+import repro.text.Similarity
 
 class CompensatoryScoreSpec extends SparkSpec {
 
@@ -83,6 +86,63 @@ class CompensatoryScoreSpec extends SparkSpec {
     val good = CompensatoryScore.scoreCorr(corr, n, 1, cleanCity, t)
     val bad = CompensatoryScore.scoreCorr(corr, n, 1, t(1), t)
     assert(good > bad, s"clean=$good typo=$bad")
+  }
+
+  /** A model of every fixture relation, with the tuples it is scored on. */
+  private lazy val fixtureModels: Seq[(String, Inference.Model, Seq[Array[String]])] = {
+    def built(name: String, df: DataFrame, as: Seq[String], u: UcSet, cfg: BClean.Config) = {
+      val model = BClean.buildModel(df, as, u, cfg, presetDag = Some(Dag(as.length, Map.empty)))
+      val tuples = df.collect().toSeq.map(r => as.map(a => Values.norm(r.getAs[String](a))).toArray)
+      (name, model, tuples)
+    }
+    Seq(
+      built("customer", Fixtures.customer(spark), Fixtures.customerAttrs, UcSet.empty, BClean.Config.pi),
+      built("fdTableDirty", dirty, attrs, ucs, BClean.Config.pi),
+      built("fdTableNulls", Fixtures.fdTableNulls(spark), attrs, ucs, BClean.Config.basic),
+      built("ties", Fixtures.ties(spark), Fixtures.tieAttrs, UcSet.empty, BClean.Config.pi),
+    )
+  }
+
+  /** Eq. 2 summed straight over `model.corr`, one attribute pair at a time. */
+  private def bruteScoreCorr(model: Inference.Model, j: Int, c: String, t: Array[String]): Double = {
+    var s = 0.0
+    for (k <- t.indices if k != j && !Values.isNull(t(k)))
+      s += model.corr.get((j, k)).flatMap(_.get((c, t(k)))).getOrElse(0.0)
+    s / math.max(model.co.nRows, 1L)
+  }
+
+  test("the indexed Score_corr equals the brute-force sum over corr exactly") {
+    fixtureModels.foreach { case (name, model, tuples) =>
+      var nonZero = 0
+      for (t <- tuples; j <- t.indices; c <- model.domains(j)) {
+        val ctx = CompensatoryScore.context(model.corrIndex, j, t)
+        val indexed = CompensatoryScore.scoreCorr(ctx, model.co.nRows, c)
+        val brute = bruteScoreCorr(model, j, c, t)
+        assert(indexed == brute, s"$name j=$j c=$c t=${t.mkString(",")}")
+        assert(CompensatoryScore.scoreCorr(model.corr, model.co.nRows, j, c, t) == brute)
+        if (brute != 0.0) nonZero += 1
+      }
+      assert(nonZero > 0, name)
+    }
+  }
+
+  test("Inference.score through the index equals the unindexed formula, leave-one-out included") {
+    fixtureModels.foreach { case (name, model, tuples) =>
+      val n = model.co.nRows
+      for (t <- tuples; j <- t.indices; c <- model.domains(j) :+ t(j)) {
+        val selfW = model.selfWeight(t)
+        var cs = bruteScoreCorr(model, j, c, t)
+        if (c == t(j) && !Values.isNull(c))
+          cs -= selfW * t.indices.count(k => k != j && !Values.isNull(t(k))) / math.max(n, 1L)
+        val bnLog =
+          if (model.cfg.partitioned) model.bn.blanketLog(j, c, t) else model.bn.fullJointLog(j, c, t)
+        val obsLog =
+          if (Values.isNull(t(j))) 0.0
+          else model.cfg.obsWeight * math.log(math.max(Similarity.string(t(j), c), model.cfg.simFloor))
+        val expected = bnLog + CompensatoryScore.logCs(cs, n) + obsLog
+        assert(Inference.score(model, j, c, t, selfW) == expected, s"$name j=$j c=$c t=${t.mkString(",")}")
+      }
+    }
   }
 
   test("logCs is monotone across the whole range, including negatives") {

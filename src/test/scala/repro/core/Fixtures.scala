@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 
 /** Shared tiny relations for the core test suites. */
 object Fixtures {
@@ -83,5 +83,14 @@ object Fixtures {
     val dirty = Seq(("k1", "ab"), ("k1", "ba"), ("k2", "ca"), ("k1", ""))
     (k1 ++ k2 ++ dirty).zipWithIndex.map { case ((k, v), i) => (i.toLong, k, v) }
       .toDF(("_tid" +: tieAttrs): _*)
+  }
+
+  /** `df`'s rows in one partition out of four, the other three empty: the
+    * layout of a `_tid`-range cut of a four-partition `spark.range`.
+    */
+  def oneNonEmptyOfFour(spark: SparkSession, df: DataFrame): DataFrame = {
+    val sc = spark.sparkContext
+    val rows = sc.parallelize(df.collect().toSeq, 1).union(sc.parallelize(Seq.empty[Row], 3))
+    spark.createDataFrame(rows, df.schema)
   }
 }

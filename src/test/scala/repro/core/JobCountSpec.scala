@@ -2,13 +2,14 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.graph.Dag
 
 /** Regression guard on the number of Spark jobs a model build launches: the
   * network, its user edits and the domains all derive from one counting
   * pass, so they must not fall back to a job per edge or per attribute.
+  * Also checks that inference spreads its rows over every core.
   */
 class JobCountSpec extends SparkSpec {
 
@@ -20,27 +21,42 @@ class JobCountSpec extends SparkSpec {
   private val edits = Seq((1, 2), (0, 2), (2, 0))
 
   /** Runs `body` and counts the Spark jobs submitted from this thread while
-    * it ran (tagged through a thread-local property).
+    * it ran (tagged through a thread-local property), and the tasks of
+    * those jobs that read shuffled rows.
     */
-  private def jobsOf[T](body: => T): (T, Int) = {
+  private def scoped[T](body: => T): (T, Int, Int) = {
     val sc = spark.sparkContext
     val key = "repro.test.jobScope"
     val scope = java.util.UUID.randomUUID().toString
     val jobs = new AtomicInteger
+    val shuffleReaders = new AtomicInteger
+    val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(key) == scope)) jobs.incrementAndGet()
+        if (Option(e.properties).exists(_.getProperty(key) == scope)) {
+          jobs.incrementAndGet()
+          e.stageIds.foreach(stages.add)
+        }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) &&
+            Option(e.taskMetrics).exists(_.shuffleReadMetrics.recordsRead > 0))
+          shuffleReaders.incrementAndGet()
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(key, scope)
     try {
       val out = body
       ListenerBusDrain(sc)
-      (out, jobs.get)
+      (out, jobs.get, shuffleReaders.get)
     } finally {
       sc.setLocalProperty(key, null)
       sc.removeSparkListener(listener)
     }
+  }
+
+  private def jobsOf[T](body: => T): (T, Int) = {
+    val (out, jobs, _) = scoped(body)
+    (out, jobs)
   }
 
   test("buildModel with a preset DAG and 3 user edits launches at most 4 jobs") {
@@ -61,5 +77,15 @@ class JobCountSpec extends SparkSpec {
   test("the job counter sees jobs") {
     val (_, jobs) = jobsOf(dirty.groupBy("city").count().collect())
     assert(jobs >= 1)
+  }
+
+  test("inference on one non-empty partition of four runs on defaultParallelism tasks") {
+    val model = BClean.buildModel(dirty, attrs, UcSet.empty, presetDag = Some(preset))
+    val oneOfFour = Fixtures.oneNonEmptyOfFour(spark, dirty)
+    assert(oneOfFour.rdd.getNumPartitions == 4)
+    val (out, _, readers) = scoped(Inference.clean(oneOfFour, model).collect())
+    assert(out.length == 120)
+    val cores = spark.sparkContext.defaultParallelism
+    assert(readers == math.min(cores, 120), s"$readers of $cores tasks got rows")
   }
 }
